@@ -360,23 +360,27 @@ class WorkloadRunner:
             raise ConfigError("clients must be >= 1")
         self.db = db
         self.clients = clients
-        self.read_latency = LatencyRecorder()
         self.update_latency = LatencyRecorder()
         #: Scans recorded separately from point reads (YCSB-E style
         #: workloads would otherwise skew the read percentiles).
         self.scan_latency = LatencyRecorder()
         #: Read latencies bucketed by the source that served the read
         #: ("memtable", "L0".."L4", "miss"): where does the tail live?
+        #: This is the one exact sink for reads; :attr:`read_latency` and
+        #: the registry's ``read.latency_usec{source}`` histograms are
+        #: derived from it.
         self.read_latency_by_source: dict[str, LatencyRecorder] = {}
         self._ops_run = 0
-        # Registry-side mirrors of the recorders above: bucketed
-        # histograms in the DB's MetricsRegistry, so `repro.bench report`
-        # can rebuild the latency tables from the snapshot alone.
+        #: Bucketed histograms of every measured op in the DB's
+        #: MetricsRegistry, observed live (the TimelineSampler reads them
+        #: mid-run), so `repro.bench report` can rebuild the latency
+        #: tables from the snapshot alone.
         self._op_hist = {
             op: db.metrics.histogram("op.latency_usec", op=op)
             for op in ("read", "update", "scan")
         }
-        self._source_hist: dict[str, object] = {}
+        #: source -> samples already folded into ``read.latency_usec``.
+        self._folded_reads: dict[str, int] = {}
         #: Optional time-series telemetry: pass ``sample_interval_ms`` to
         #: record registry deltas every N simulated milliseconds (see
         #: repro.obs.timeline). Off by default — the clock observer and
@@ -429,28 +433,40 @@ class WorkloadRunner:
         if self.sampler is not None:
             self.sampler.mark_phase(phase)
 
-    def _observe_read(self, source: str, latency: float) -> None:
-        hist = self._source_hist.get(source)
-        if hist is None:
-            hist = self.db.metrics.histogram("read.latency_usec", source=source)
-            self._source_hist[source] = hist
-        hist.observe(latency)
+    @property
+    def read_latency(self) -> LatencyRecorder:
+        """Every measured point read, merged from the per-source recorders."""
+        merged = LatencyRecorder()
+        for recorder in self.read_latency_by_source.values():
+            merged.merge(recorder)
+        return merged
+
+    def _fold_read_histograms(self) -> None:
+        """Mirror the per-source recorders into the registry's
+        ``read.latency_usec{source}`` histograms, each sample once and in
+        recorded order, so the float sums match live observation."""
+        histogram = self.db.metrics.histogram
+        folded = self._folded_reads
+        for source, recorder in self.read_latency_by_source.items():
+            samples = recorder.samples
+            done = folded.get(source, 0)
+            if done < len(samples):
+                observe = histogram("read.latency_usec", source=source).observe
+                for latency in samples[done:]:
+                    observe(latency)
+                folded[source] = len(samples)
 
     # ------------------------------------------------------------------
-    # Phase drivers
+    # Phases
     #
-    # All three phases consume RequestBatch chunks (parallel arrays of
-    # int op codes / keys / values / scan lengths). Each batch is walked
-    # as maximal *groups* of consecutive same-opcode requests, and every
-    # group dispatches through the engine's phase-scoped fast lanes
-    # (``db.read_lane()`` / ``db.write_lane()``: the per-op pipeline with
-    # stable handles hoisted and the attribution branches compiled out —
-    # see docs/PERFORMANCE.md). Workloads that only speak the per-op
-    # Request protocol (replayed traces) are adapted through
-    # batches_from_requests, so there is exactly one hot loop per phase.
-    # The per-op accounting — clock.advance(latency / clients) after
-    # every operation — is unchanged from the per-op runner, which is
-    # what keeps simulated results bit-identical.
+    # Every phase runs through one loop, :meth:`_drive`, over
+    # RequestBatch chunks (parallel arrays of int op codes / keys /
+    # values / scan lengths). It fetches the engine's op closures once
+    # per phase (``db.read_lane()`` / ``db.write_lane()``, see
+    # docs/PERFORMANCE.md) and calls them per op. Workloads that only
+    # speak the per-op Request protocol (replayed traces) are adapted
+    # through batches_from_requests. After every operation the clock
+    # advances by latency / clients.
     # ------------------------------------------------------------------
     @staticmethod
     def _phase_batches(workload, phase: str):
@@ -459,176 +475,84 @@ class WorkloadRunner:
             return batches()
         return batches_from_requests(getattr(workload, f"{phase}_stream")())
 
-    def load(self, workload: YCSBWorkload) -> float:
-        """Load phase; returns simulated elapsed usec."""
-        db = self.db
-        start = db.clock.now
-        self._mark_phase("load")
-        commit = db.write_lane()
-        advance = db.clock.advance
-        clients = self.clients
-        for batch in self._phase_batches(workload, "load"):
-            for key, value in zip(batch.keys, batch.values):
-                advance(commit(key, value).latency_usec / clients)
-        db.flush()
-        return db.clock.now - start
+    def _drive(self, workload, phase: str, *, measure: bool = False, attribution=None) -> float:
+        """Run one phase; returns simulated elapsed usec.
 
-    def warmup(self, workload: YCSBWorkload) -> float:
-        """Unmeasured warm-up traffic; returns simulated elapsed usec."""
+        ``measure`` records every op's latency; ``attribution`` (a
+        :class:`LatencyAttribution`) threads a sampled OpContext through
+        each op, which breaks its latency down without changing it.
+        """
         db = self.db
         start = db.clock.now
-        self._mark_phase("warmup")
-        lookup = db.read_lane()
-        commit = db.write_lane()
+        self._mark_phase(phase)
+        read = db.read_lane()
+        write = db.write_lane()
         scan = db.scan
         advance = db.clock.advance
         clients = self.clients
-        for batch in self._phase_batches(workload, "warmup"):
-            kinds = batch.kinds
-            keys = batch.keys
-            values = batch.values
-            lengths = batch.scan_lengths
-            n = len(kinds)
-            i = 0
-            while i < n:
-                kind = kinds[i]
-                j = i + 1
-                while j < n and kinds[j] == kind:
-                    j += 1
-                if kind == OP_READ:
-                    for k in range(i, j):
-                        advance(lookup(keys[k]).latency_usec / clients)
-                elif kind != OP_SCAN:
-                    for k in range(i, j):
-                        advance(commit(keys[k], values[k]).latency_usec / clients)
-                else:
-                    for k in range(i, j):
-                        advance(scan(keys[k], lengths[k]).latency_usec / clients)
-                i = j
-        return db.clock.now - start
-
-    def run(self, workload: YCSBWorkload) -> float:
-        """Transaction phase; returns simulated elapsed usec."""
-        if self.attribution is not None:
-            return self._run_attributed(workload)
-        db = self.db
-        start = db.clock.now
-        self._mark_phase("run")
-        lookup = db.read_lane()
-        commit = db.write_lane()
-        scan = db.scan
-        advance = db.clock.advance
-        clients = self.clients
-        record_read = self.read_latency.record
-        record_update = self.update_latency.record
-        record_scan = self.scan_latency.record
-        observe_read_hist = self._op_hist["read"].observe
-        observe_update_hist = self._op_hist["update"].observe
-        observe_scan_hist = self._op_hist["scan"].observe
         by_source = self.read_latency_by_source
-        observe_read = self._observe_read
+        observe_read = self._op_hist["read"].observe
+        record_update = self.update_latency.record
+        observe_update = self._op_hist["update"].observe
+        record_scan = self.scan_latency.record
+        observe_scan = self._op_hist["scan"].observe
+        begin = attribution.begin if attribution is not None else None
+        ctx = None
         ops = 0
-        for batch in self._phase_batches(workload, "run"):
-            kinds = batch.kinds
+        for batch in self._phase_batches(workload, phase):
             keys = batch.keys
             values = batch.values
             lengths = batch.scan_lengths
-            n = len(kinds)
-            ops += n
-            i = 0
-            while i < n:
-                kind = kinds[i]
-                j = i + 1
-                while j < n and kinds[j] == kind:
-                    j += 1
+            kinds = batch.kinds
+            ops += len(kinds)
+            for i, kind in enumerate(kinds):
                 if kind == OP_READ:
-                    for k in range(i, j):
-                        result = lookup(keys[k])
-                        latency = result.latency_usec
-                        record_read(latency)
+                    if begin is not None:
+                        ctx = begin("read")
+                    result = read(keys[i], ctx)
+                    latency = result.latency_usec
+                    if measure:
                         source = result.served_by
                         bucket = by_source.get(source)
                         if bucket is None:
                             bucket = by_source[source] = LatencyRecorder()
                         bucket.record(latency)
-                        observe_read_hist(latency)
-                        observe_read(source, latency)
-                        advance(latency / clients)
-                elif kind != OP_SCAN:
-                    for k in range(i, j):
-                        latency = commit(keys[k], values[k]).latency_usec
-                        record_update(latency)
-                        observe_update_hist(latency)
-                        advance(latency / clients)
-                else:
-                    for k in range(i, j):
-                        latency = scan(keys[k], lengths[k]).latency_usec
-                        record_scan(latency)
-                        observe_scan_hist(latency)
-                        advance(latency / clients)
-                i = j
-        self._ops_run += ops
-        return db.clock.now - start
-
-    def _run_attributed(self, workload: YCSBWorkload) -> float:
-        """Transaction phase with per-request latency attribution.
-
-        Attribution threads an OpContext through every call, which the
-        lanes deliberately compile out, so this path keeps the per-op
-        ``ctx`` dispatch. Latencies and side-effect ordering match
-        :meth:`run` exactly; only the observation plumbing differs.
-        """
-        db = self.db
-        start = db.clock.now
-        self._mark_phase("run")
-        attr = self.attribution
-        get = db.get
-        put = db.put
-        scan = db.scan
-        advance = db.clock.advance
-        clients = self.clients
-        record_read = self.read_latency.record
-        record_update = self.update_latency.record
-        record_scan = self.scan_latency.record
-        observe_read_hist = self._op_hist["read"].observe
-        observe_update_hist = self._op_hist["update"].observe
-        observe_scan_hist = self._op_hist["scan"].observe
-        by_source = self.read_latency_by_source
-        observe_read = self._observe_read
-        ops = 0
-        for batch in self._phase_batches(workload, "run"):
-            keys = batch.keys
-            values = batch.values
-            lengths = batch.scan_lengths
-            for i, kind in enumerate(batch.kinds):
-                if kind == OP_READ:
-                    ctx = attr.begin("read")
-                    result = get(keys[i], ctx=ctx)
-                    latency = result.latency_usec
-                    record_read(latency)
-                    source = result.served_by
-                    bucket = by_source.get(source)
-                    if bucket is None:
-                        bucket = by_source[source] = LatencyRecorder()
-                    bucket.record(latency)
-                    observe_read_hist(latency)
-                    observe_read(source, latency)
-                elif kind != OP_SCAN:
-                    ctx = attr.begin("update")
-                    latency = put(keys[i], values[i], ctx=ctx).latency_usec
-                    record_update(latency)
-                    observe_update_hist(latency)
-                else:
-                    ctx = attr.begin("scan")
+                        observe_read(latency)
+                elif kind == OP_SCAN:
+                    if begin is not None:
+                        ctx = begin("scan")
                     latency = scan(keys[i], lengths[i], ctx=ctx).latency_usec
-                    record_scan(latency)
-                    observe_scan_hist(latency)
+                    if measure:
+                        record_scan(latency)
+                        observe_scan(latency)
+                else:
+                    if begin is not None:
+                        ctx = begin("update")
+                    latency = write(keys[i], values[i], ctx).latency_usec
+                    if measure:
+                        record_update(latency)
+                        observe_update(latency)
                 if ctx is not None:
-                    attr.observe(ctx, latency)
-                ops += 1
+                    attribution.observe(ctx, latency)
                 advance(latency / clients)
-        self._ops_run += ops
+        if measure:
+            self._ops_run += ops
         return db.clock.now - start
+
+    def load(self, workload: YCSBWorkload) -> float:
+        """Load phase; returns simulated elapsed usec."""
+        start = self.db.clock.now
+        self._drive(workload, "load")
+        self.db.flush()
+        return self.db.clock.now - start
+
+    def warmup(self, workload: YCSBWorkload) -> float:
+        """Unmeasured warm-up traffic; returns simulated elapsed usec."""
+        return self._drive(workload, "warmup")
+
+    def run(self, workload: YCSBWorkload) -> float:
+        """Transaction phase; returns simulated elapsed usec."""
+        return self._drive(workload, "run", measure=True, attribution=self.attribution)
 
     def result(self, label: str, config: SystemConfig, elapsed_usec: float) -> RunResult:
         """Snapshot all metrics after :meth:`run`."""
@@ -652,6 +576,7 @@ class WorkloadRunner:
             else:
                 device_life[tier.name] = float("inf")
         migrations = getattr(db, "mutant_stats", None)
+        self._fold_read_histograms()
         return RunResult(
             label=label,
             system=config.system,

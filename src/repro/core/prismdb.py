@@ -16,7 +16,7 @@ from repro.core.mapper import ClockDistributionMapper
 from repro.core.placer import LowestScorePicker, ReadAwareRouter
 from repro.core.tracker import ClockTracker
 from repro.errors import ConfigError
-from repro.lsm.db import LsmDB, ReadResult
+from repro.lsm.db import LsmDB
 from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
 
@@ -130,38 +130,25 @@ class PrismDB(LsmDB):
             name=self.name,
         )
 
-    def get(self, user_key: bytes, *, ctx=None) -> ReadResult:
-        """Point lookup; feeds the tracker on the way out (§5, Fig. 8)."""
-        result = super().get(user_key, ctx=ctx)
-        # Tracker insertion sits on the read critical path; eviction is
-        # deferred to the "background" sweep right after.
-        latency = result.latency_usec + self.options.tracker_overhead_usec
-        if ctx is not None and self.options.tracker_overhead_usec:
-            ctx.add("tracker", "-", self.options.tracker_overhead_usec)
-        self._obs_tracked_reads.inc()
-        self.tracker.on_read(user_key, result.seqno or 0)
-        self.tracker.run_evictions(self.prism_options.eviction_steps_per_read)
-        # Direct construction instead of dataclasses.replace(): replace()
-        # re-walks the field list on every read.
-        return ReadResult(result.value, latency, result.served_by, result.seqno)
+    def read_tail_hook(self):
+        """Feed the tracker on the way out of every read (§5, Fig. 8).
 
-    def read_lane(self):
-        """The base read lane plus the tracker tail of :meth:`get`."""
-        if type(self).get is not PrismDB.get:
-            return self.get
-        base = self._build_read_lane()
-        tracker_overhead = self.options.tracker_overhead_usec
+        Tracker insertion sits on the read critical path and costs
+        ``tracker_overhead_usec``; eviction is deferred to the
+        "background" sweep right after.
+        """
+        overhead = self.options.tracker_overhead_usec
         obs_tracked_inc = self._obs_tracked_reads.inc
         on_read = self.tracker.on_read
         run_evictions = self.tracker.run_evictions
         eviction_steps = self.prism_options.eviction_steps_per_read
 
-        def lookup(user_key):
-            result = base(user_key)
-            latency = result.latency_usec + tracker_overhead
+        def tail(user_key, seqno, ctx):
+            if ctx is not None and overhead:
+                ctx.add("tracker", "-", overhead)
             obs_tracked_inc()
-            on_read(user_key, result.seqno or 0)
+            on_read(user_key, seqno or 0)
             run_evictions(eviction_steps)
-            return ReadResult(result.value, latency, result.served_by, result.seqno)
+            return overhead
 
-        return lookup
+        return tail

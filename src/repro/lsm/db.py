@@ -199,9 +199,9 @@ class LsmDB:
         self._obs_flush_count = self.metrics.counter("db.flush.count")
         self._obs_flush_bytes = self.metrics.counter("db.flush.bytes")
         self._obs_bloom_skips = self.metrics.counter("db.bloom_negative_skips")
-        #: Optional hook invoked as hook(user_key, record) on each read
-        #: hit; PrismDB attaches the tracker here.
-        self.read_hook = None
+        #: The op closures (see "The op pipeline"), built on first use.
+        self._read = None
+        self._write = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -221,52 +221,10 @@ class LsmDB:
 
     def _check_open(self) -> None:
         if self._closed:
-            raise DBClosedError(f"database {self.name!r} is closed")
+            raise self._closed_error()
 
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def put(self, user_key: bytes, value: bytes, *, ctx=None) -> WriteResult:
-        """Insert or update a key."""
-        return self._write(
-            Record(user_key, self._next_seqno(), ValueKind.PUT, value), ctx
-        )
-
-    def delete(self, user_key: bytes, *, ctx=None) -> WriteResult:
-        """Delete a key (writes a tombstone)."""
-        return self._write(Record(user_key, self._next_seqno(), ValueKind.DELETE), ctx)
-
-    def _next_seqno(self) -> int:
-        self._seqno += 1
-        return self._seqno
-
-    def _write(self, record: Record, ctx=None) -> WriteResult:
-        self._check_open()
-        latency = self._cpu_overhead
-        if ctx is not None and latency:
-            ctx.add("cpu", "-", latency)
-        if self.wal is not None:
-            latency += self.wal.append(record, ctx=ctx)
-        self.row_cache.invalidate(record.user_key)
-        self._memtable.add(record)
-        encoded_size = record.encoded_size()
-        memtable_latency = DRAM_SPEC.write_time_usec(encoded_size)
-        if ctx is not None:
-            ctx.add("memtable", "dram", memtable_latency)
-        latency += memtable_latency
-        self.stats.user_writes += 1
-        self.stats.user_write_bytes += encoded_size
-        self._obs_user_writes.inc()
-        self._obs_user_write_bytes.inc(encoded_size)
-        flushed = False
-        compactions = 0
-        if self._memtable.approximate_bytes >= self._memtable_limit:
-            self._flush_memtable()
-            flushed = True
-            compactions = self.executor.maybe_compact()
-        if self.wal is not None:
-            self.stats.wal_bytes = self.wal.total_bytes
-        return WriteResult(latency, flushed, compactions)
+    def _closed_error(self) -> DBClosedError:
+        return DBClosedError(f"database {self.name!r} is closed")
 
     def flush(self) -> int:
         """Force-flush the memtable; returns compactions triggered."""
@@ -383,210 +341,147 @@ class LsmDB:
         self._memtable = Memtable(seed=self.options.seed + self.stats.flush_count)
 
     # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def get(self, user_key: bytes, *, ctx=None) -> ReadResult:
-        """Point lookup; returns the newest committed value or None.
-
-        ``ctx`` (an :class:`~repro.obs.attribution.OpContext`) records a
-        per-component latency breakdown of the lookup; it never changes
-        the simulated latency itself.
-        """
-        self._check_open()
-        latency = self._cpu_overhead
-        if ctx is not None and latency:
-            ctx.add("cpu", "-", latency)
-        result = None
-
-        record = self._memtable.get(user_key)
-        row_hit = False
-        if record is not None:
-            memtable_latency = DRAM_SPEC.read_time_usec(record.encoded_size())
-            if ctx is not None:
-                ctx.add("memtable", "dram", memtable_latency)
-            latency += memtable_latency
-            result = ReadResult(
-                None if record.kind is _DELETE else record.value,
-                latency,
-                "memtable",
-                seqno=record.seqno,
-            )
-        else:
-            if self._row_cache_enabled:
-                row_hit, row_value, row_seqno, row_latency = self.row_cache.lookup(
-                    user_key, ctx
-                )
-                if row_hit:
-                    latency += row_latency
-                    result = ReadResult(row_value, latency, "rowcache", seqno=row_seqno)
-        if result is None:
-            for level in range(self.manifest.num_levels):
-                candidates = self.manifest.candidates_for_key(level, user_key)
-                found = None
-                for table in candidates:
-                    if ctx is not None:
-                        ctx.scope = f"L{level}:f{table.file_id}"
-                    hit, table_latency, filtered = table.get(
-                        user_key, self.cache, foreground=True, ctx=ctx
-                    )
-                    latency += table_latency
-                    self.file_read_counts[table.file_id] = (
-                        self.file_read_counts.get(table.file_id, 0) + 1
-                    )
-                    if filtered:
-                        self.stats.bloom_negative_skips += 1
-                        self._obs_bloom_skips.inc()
-                    if hit is not None:
-                        found = hit
-                        break
-                if found is not None:
-                    result = ReadResult(
-                        None if found.kind is _DELETE else found.value,
-                        latency,
-                        f"L{level}",
-                        seqno=found.seqno,
-                    )
-                    break
-            if result is None:
-                result = ReadResult(None, latency, "miss")
-            if self._row_cache_enabled:
-                # Remember what the tree walk resolved (value or absence).
-                self.row_cache.insert(user_key, result.value, result.seqno or 0)
-
-        self.stats.user_reads += 1
-        if result.value is not None:
-            self.stats.user_read_bytes += len(result.value)
-        self.stats.reads_by_source.add(result.served_by)
-        counter = self._read_source_counters.get(result.served_by)
-        if counter is None:
-            counter = self.metrics.counter("db.reads", source=result.served_by)
-            self._read_source_counters[result.served_by] = counter
-        counter.inc()
-        if self.read_hook is not None:
-            self.read_hook(user_key, result)
-        return result
-
-    # ------------------------------------------------------------------
-    # Fast lanes (batched hot paths)
+    # The op pipeline
     #
-    # A *lane* is a phase-scoped closure equivalent to one operation kind
-    # with ``ctx=None``: every stable handle (stats, manifest, caches,
-    # counters, option scalars) is bound once at build time, and the
-    # attribution branches are compiled out entirely. The closures
-    # re-read only the state that legitimately changes between calls
-    # (``self._memtable`` swaps on flush, ``self.read_hook`` is settable
-    # at runtime). Simulated latencies, counter updates and their
-    # ordering are bit-identical to :meth:`get` / :meth:`put` — the
-    # determinism tests pin this.
+    # Each operation kind has exactly one implementation: a closure built
+    # once per instance, on first use, that binds every stable handle
+    # (stats, manifest, caches, counters, option scalars) as a local and
+    # re-reads only state that changes between calls (``self._memtable``
+    # swaps on flush). ``get``/``put``/``delete`` call it, and
+    # ``read_lane``/``write_lane`` hand it to batch drivers such as the
+    # harness. Every closure takes an optional ``ctx``
+    # (:class:`~repro.obs.attribution.OpContext`) that records a
+    # per-component latency breakdown; it never changes the simulated
+    # latency itself.
     #
-    # Subclass safety: ``read_lane``/``write_lane`` only build the
-    # inlined closure when the operation methods they replicate are the
-    # ones defined at this class; a subclass that overrides ``get`` or
-    # ``_write`` without supplying its own lane transparently falls back
-    # to the plain per-op call.
+    # Systems declare what they add as hooks, bound when the closure is
+    # built: :meth:`pre_op_hook` (Mutant's epoch check) and
+    # :meth:`read_tail_hook` (PrismDB's tracker tail). Building on first
+    # use rather than in ``__init__`` lets instrumentation that wraps
+    # instance handles (the WAL, the executor, the tracker) go in first.
     # ------------------------------------------------------------------
+    def pre_op_hook(self):
+        """A system's ``hook()`` run before every read and write, or None."""
+        return None
+
+    def read_tail_hook(self):
+        """A system's ``tail(user_key, seqno, ctx) -> usec`` run once per
+        read after it resolves (``seqno`` is None on a miss), or None.
+        The returned usec are added to the read's latency."""
+        return None
+
     def read_lane(self):
-        """Return ``lookup(user_key) -> ReadResult``, equivalent to
-        :meth:`get` with ``ctx=None``."""
-        if type(self).get is not LsmDB.get:
-            return self.get
-        return self._build_read_lane()
+        """The read closure: ``read(user_key, ctx=None) -> ReadResult``."""
+        if self._read is None:
+            self._read = self._build_read()
+        return self._read
 
     def write_lane(self):
-        """Return ``commit(user_key, value) -> WriteResult``, equivalent
-        to :meth:`put` with ``ctx=None``."""
-        if type(self)._write is not LsmDB._write or type(self).put is not LsmDB.put:
-            return self.put
-        return self._build_write_lane()
+        """The write closure: ``write(user_key, value, ctx=None) ->
+        WriteResult``; a ``value`` of None writes a tombstone."""
+        if self._write is None:
+            self._write = self._build_write()
+        return self._write
 
-    def _build_read_lane(self):
-        """The inlined base read path shared by every system's lane."""
-        self._check_open()
+    def get(self, user_key: bytes, *, ctx=None) -> ReadResult:
+        """Point lookup; returns the newest committed value or None."""
+        return (self._read or self.read_lane())(user_key, ctx)
+
+    def put(self, user_key: bytes, value: bytes, *, ctx=None) -> WriteResult:
+        """Insert or update a key."""
+        if value is None:
+            raise TypeError("put() needs a bytes value; use delete()")
+        return (self._write or self.write_lane())(user_key, value, ctx)
+
+    def delete(self, user_key: bytes, *, ctx=None) -> WriteResult:
+        """Delete a key (writes a tombstone)."""
+        return (self._write or self.write_lane())(user_key, None, ctx)
+
+    def _build_read(self):
+        pre_op = self.pre_op_hook()
+        tail = self.read_tail_hook()
         cpu_overhead = self._cpu_overhead
         row_cache_enabled = self._row_cache_enabled
         row_lookup = self.row_cache.lookup
         row_insert = self.row_cache.insert
         candidates_for_key = self.manifest.candidates_for_key
-        num_levels = self.manifest.num_levels
-        level_names = [f"L{level}" for level in range(num_levels)]
-        level_range = range(num_levels)
+        levels = [(level, f"L{level}") for level in range(self.manifest.num_levels)]
         cache = self.cache
         file_read_counts = self.file_read_counts
         stats = self.stats
-        reads_by_source_add = self.stats.reads_by_source.add
+        reads_by_source_add = stats.reads_by_source.add
         source_counters = self._read_source_counters
         metrics_counter = self.metrics.counter
         obs_bloom_skips_inc = self._obs_bloom_skips.inc
         dram_read_time = DRAM_SPEC.read_time_usec
 
-        def lookup(user_key):
+        def read(user_key, ctx=None):
+            if self._closed:
+                raise self._closed_error()
+            if pre_op is not None:
+                pre_op()
             latency = cpu_overhead
-            result = None
+            if ctx is not None and latency:
+                ctx.add("cpu", "-", latency)
             record = self._memtable.get(user_key)
             if record is not None:
-                latency += dram_read_time(record.encoded_size())
-                result = ReadResult(
-                    None if record.kind is _DELETE else record.value,
-                    latency,
-                    "memtable",
-                    seqno=record.seqno,
-                )
-            elif row_cache_enabled:
-                row_hit, row_value, row_seqno, row_latency = row_lookup(user_key)
-                if row_hit:
-                    latency += row_latency
-                    result = ReadResult(row_value, latency, "rowcache", seqno=row_seqno)
-            if result is None:
-                for level in level_range:
-                    found = None
-                    for table in candidates_for_key(level, user_key):
-                        hit, table_latency, filtered = table.get(
-                            user_key, cache, foreground=True
-                        )
-                        latency += table_latency
-                        file_id = table.file_id
-                        file_read_counts[file_id] = (
-                            file_read_counts.get(file_id, 0) + 1
-                        )
-                        if filtered:
-                            stats.bloom_negative_skips += 1
-                            obs_bloom_skips_inc()
-                        if hit is not None:
-                            found = hit
-                            break
-                    if found is not None:
-                        result = ReadResult(
-                            None if found.kind is _DELETE else found.value,
-                            latency,
-                            level_names[level],
-                            seqno=found.seqno,
-                        )
-                        break
-                if result is None:
-                    result = ReadResult(None, latency, "miss")
+                memtable_latency = dram_read_time(record.encoded_size())
+                if ctx is not None:
+                    ctx.add("memtable", "dram", memtable_latency)
+                latency += memtable_latency
+                value = None if record.kind is _DELETE else record.value
+                source = "memtable"
+                seqno = record.seqno
+            else:
+                hit = False
                 if row_cache_enabled:
-                    row_insert(user_key, result.value, result.seqno or 0)
+                    hit, value, seqno, row_latency = row_lookup(user_key, ctx)
+                    if hit:
+                        latency += row_latency
+                        source = "rowcache"
+                if not hit:
+                    value = seqno = None
+                    source = "miss"
+                    for level, level_name in levels:
+                        found = None
+                        for table in candidates_for_key(level, user_key):
+                            if ctx is not None:
+                                ctx.scope = f"{level_name}:f{table.file_id}"
+                            found, table_latency, filtered = table.get(
+                                user_key, cache, foreground=True, ctx=ctx
+                            )
+                            latency += table_latency
+                            file_id = table.file_id
+                            file_read_counts[file_id] = file_read_counts.get(file_id, 0) + 1
+                            if filtered:
+                                stats.bloom_negative_skips += 1
+                                obs_bloom_skips_inc()
+                            if found is not None:
+                                break
+                        if found is not None:
+                            value = None if found.kind is _DELETE else found.value
+                            source = level_name
+                            seqno = found.seqno
+                            break
+                    if row_cache_enabled:
+                        # Remember what the tree walk resolved (value or absence).
+                        row_insert(user_key, value, seqno or 0)
+            if tail is not None:
+                latency += tail(user_key, seqno, ctx)
             stats.user_reads += 1
-            value = result.value
             if value is not None:
                 stats.user_read_bytes += len(value)
-            served_by = result.served_by
-            reads_by_source_add(served_by)
-            counter = source_counters.get(served_by)
+            reads_by_source_add(source)
+            counter = source_counters.get(source)
             if counter is None:
-                counter = metrics_counter("db.reads", source=served_by)
-                source_counters[served_by] = counter
+                counter = source_counters[source] = metrics_counter("db.reads", source=source)
             counter.inc()
-            hook = self.read_hook
-            if hook is not None:
-                hook(user_key, result)
-            return result
+            return ReadResult(value, latency, source, seqno)
 
-        return lookup
+        return read
 
-    def _build_write_lane(self):
-        """The inlined base put path shared by every system's lane."""
-        self._check_open()
+    def _build_write(self):
+        pre_op = self.pre_op_hook()
         cpu_overhead = self._cpu_overhead
         wal = self.wal
         wal_append = wal.append if wal is not None else None
@@ -598,20 +493,32 @@ class LsmDB:
         dram_write_time = DRAM_SPEC.write_time_usec
         flush_memtable = self._flush_memtable
         maybe_compact = self.executor.maybe_compact
-        header_size = RECORD_HEADER_SIZE
 
-        def commit(user_key, value):
+        def write(user_key, value, ctx=None):
+            if self._closed:
+                raise self._closed_error()
+            if pre_op is not None:
+                pre_op()
             seqno = self._seqno + 1
             self._seqno = seqno
-            record = make_put_record(user_key, seqno, value)
-            encoded_size = header_size + len(user_key) + len(value)
+            if value is None:
+                record = Record(user_key, seqno, _DELETE)
+                encoded_size = RECORD_HEADER_SIZE + len(user_key)
+            else:
+                record = make_put_record(user_key, seqno, value)
+                encoded_size = RECORD_HEADER_SIZE + len(user_key) + len(value)
             latency = cpu_overhead
+            if ctx is not None and latency:
+                ctx.add("cpu", "-", latency)
             if wal_append is not None:
-                latency += wal_append(record, size=encoded_size)
+                latency += wal_append(record, ctx, size=encoded_size)
             row_invalidate(user_key)
             memtable = self._memtable
             memtable.add(record)
-            latency += dram_write_time(encoded_size)
+            memtable_latency = dram_write_time(encoded_size)
+            if ctx is not None:
+                ctx.add("memtable", "dram", memtable_latency)
+            latency += memtable_latency
             stats.user_writes += 1
             stats.user_write_bytes += encoded_size
             obs_writes_inc()
@@ -626,7 +533,7 @@ class LsmDB:
                 stats.wal_bytes = wal.total_bytes
             return WriteResult(latency, flushed, compactions)
 
-        return commit
+        return write
 
     def scan(self, start_key: bytes, count: int, *, ctx=None) -> ScanResult:
         """Return up to ``count`` live key-value pairs from ``start_key``."""

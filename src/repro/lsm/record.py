@@ -136,7 +136,7 @@ _PUT = ValueKind.PUT
 def make_put_record(user_key: bytes, seqno: int, value: bytes) -> Record:
     """Build a PUT record without the dataclass ``__init__`` walk.
 
-    The write fast lane constructs one record per operation; seqnos are
+    The write closure constructs one record per operation; seqnos are
     engine-assigned (always in range), so only the user-supplied key
     length needs checking.
     """

@@ -40,7 +40,7 @@ class WriteAheadLog:
         in the same batch and pay only the transfer cost). ``ctx``
         attributes the log write to ``(wal, tier)`` on the request's
         latency breakdown. ``size`` lets callers that already computed
-        ``record.encoded_size()`` (the write fast lane) skip recomputing
+        ``record.encoded_size()`` (the write closure) skip recomputing
         it here.
         """
         if size is None:

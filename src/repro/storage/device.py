@@ -233,26 +233,32 @@ class Device:
     # ------------------------------------------------------------------
     # Background backlog
     # ------------------------------------------------------------------
+    def _backlog_at(self, now: float) -> float:
+        """The background backlog left at ``now`` (a pure read)."""
+        elapsed = now - self._last_drain_usec
+        if elapsed <= 0 or self._backlog_bytes <= 0:
+            return self._backlog_bytes
+        drain_rate = self.spec.sustained_write_bandwidth_bps * self._background_share
+        drained = elapsed / 1_000_000.0 * drain_rate
+        return max(0.0, self._backlog_bytes - drained)
+
     def _drain_backlog(self) -> None:
         """Retire background bytes written since the last drain."""
         now = self._clock.now
-        elapsed = now - self._last_drain_usec
+        self._backlog_bytes = self._backlog_at(now)
         self._last_drain_usec = now
-        if elapsed <= 0 or self._backlog_bytes <= 0:
-            return
-        drain_rate = self.spec.sustained_write_bandwidth_bps * self._background_share
-        drained = elapsed / 1_000_000.0 * drain_rate
-        self._backlog_bytes = max(0.0, self._backlog_bytes - drained)
 
     @property
     def backlog_bytes(self) -> float:
-        """Current background backlog after draining to the present."""
-        self._drain_backlog()
-        return self._backlog_bytes
+        """Current background backlog. Reading it never changes the
+        device: draining in steps would round differently from draining
+        at once, so an observer would perturb later latencies."""
+        return self._backlog_at(self._clock.now)
 
     def queue_penalty_usec(self) -> float:
         """Extra latency a foreground access pays due to background work."""
-        backlog = self.backlog_bytes
+        self._drain_backlog()
+        backlog = self._backlog_bytes
         if backlog <= 0:
             return 0.0
         drain_usec = backlog / self.spec.sustained_write_bandwidth_bps * 1_000_000.0

@@ -122,6 +122,21 @@ class TestRunExperiment:
         assert result.storage_cost_dollars > 0
         assert sum(result.reads_by_source.values()) > 0
 
+    @pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
+    @pytest.mark.parametrize("read_pct", [50, 95])
+    def test_attribution_leaves_results_unchanged(self, system, read_pct):
+        """The ctx branches of the op closures only observe: an attributed
+        run equals a plain run in everything but the attribution block."""
+        config = SystemConfig(system=system, seed=3)
+        workload = YCSBConfig.read_update(
+            read_pct, record_count=3_000, operation_count=4_000, seed=3
+        )
+        plain = run_experiment(config, workload).to_json()
+        attributed = run_experiment(config, workload, attribution_sample_every=1).to_json()
+        assert plain.pop("attribution") == {}
+        assert attributed.pop("attribution")["ops_sampled"] == 4_000
+        assert attributed == plain
+
     def test_mutant_reports_migrations(self):
         result = run_experiment(SystemConfig(system="mutant"), SMALL)
         assert result.migrations >= 0  # field present and non-negative

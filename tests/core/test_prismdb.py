@@ -58,11 +58,15 @@ class TestPrismDB:
         assert db.tracker.clock_value(b"k") == 3
 
     def test_read_latency_includes_tracker_overhead(self):
-        plain = make_db()
-        plain.put(b"k", b"v")
-        base = super(PrismDB, plain).get(b"k").latency_usec
-        latency = plain.get(b"k").latency_usec
-        assert latency == pytest.approx(base + plain.options.tracker_overhead_usec)
+        prism = make_db()
+        free = PrismDB.create(
+            "NNNTQ", tiny_options(tracker_overhead_usec=0.0), PrismOptions(tracker_capacity=64)
+        )
+        for db in (prism, free):
+            db.put(b"k", b"v")
+        base = free.get(b"k").latency_usec
+        latency = prism.get(b"k").latency_usec
+        assert latency == pytest.approx(base + prism.options.tracker_overhead_usec)
 
     def test_update_resets_clock_via_version_tag(self):
         db = make_db()

@@ -91,6 +91,28 @@ class TestBasicOperations:
         with pytest.raises(DBClosedError):
             db.scan(b"", 1)
 
+    @pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
+    def test_lanes_taken_before_close_reject_operations(self, system):
+        from repro.baselines.mutant import MutantDB
+        from repro.core.prismdb import PrismDB
+
+        cls = {"rocksdb": LsmDB, "prismdb": PrismDB, "mutant": MutantDB}[system]
+        db = cls.create("NNNTQ", tiny_options())
+        db.put(b"a", b"1")
+        read, write = db.read_lane(), db.write_lane()
+        reopened = db.reopen()
+        with pytest.raises(DBClosedError):
+            write(b"a", b"2")
+        with pytest.raises(DBClosedError):
+            read(b"a")
+        assert reopened.get(b"a").value == b"1"
+        read, write = reopened.read_lane(), reopened.write_lane()
+        reopened.close()
+        with pytest.raises(DBClosedError):
+            write(b"a", b"2")
+        with pytest.raises(DBClosedError):
+            read(b"a")
+
     def test_layout_options_level_mismatch_rejected(self):
         from repro.lsm.layout import build_layout
         from repro.common import SimClock
@@ -212,12 +234,23 @@ class TestStats:
         assert wa > 1.0  # at minimum the WAL + flush double-write
 
     def test_read_hook_invoked(self):
-        db = make_db()
         seen = []
-        db.read_hook = lambda key, result: seen.append((key, result.served_by))
+
+        class Hooked(LsmDB):
+            def read_tail_hook(self):
+                def tail(user_key, seqno, ctx):
+                    seen.append((user_key, seqno))
+                    return 0.25
+
+                return tail
+
+        db = Hooked.create("NNNTQ", tiny_options())
         db.put(b"k", b"v")
-        db.get(b"k")
-        assert seen == [(b"k", "memtable")]
+        plain = make_db()
+        plain.put(b"k", b"v")
+        assert db.get(b"k").latency_usec == plain.get(b"k").latency_usec + 0.25
+        db.get(b"missing")
+        assert seen == [(b"k", 1), (b"missing", None)]
 
 
 @st.composite

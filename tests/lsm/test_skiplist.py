@@ -1,9 +1,117 @@
-"""Tests for the skiplist."""
+"""The skiplist the dict memtable replaced, kept as the memtable's model.
+
+LSM memtables (RocksDB, LevelDB) are skiplists: sorted iteration for
+flushes plus O(log n) point access. :class:`repro.lsm.memtable.Memtable`
+serves the same contract from a dict and a memoized sorted-key array;
+:class:`TestMemtableAgainstSkipList` checks it against this single-writer
+skiplist (randomized tower heights with p = 1/4, forward-only pointers,
+ceiling seeks), and :class:`TestSkipList` checks the model itself.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Any, Iterator
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lsm.skiplist import SkipList
+from repro.lsm.memtable import Memtable
+from repro.lsm.record import Record, ValueKind
+
+_MAX_HEIGHT = 12
+_BRANCHING = 4
+
+
+class _Node:
+    __slots__ = ("key", "value", "forward")
+
+    def __init__(self, key: Any, value: Any, height: int) -> None:
+        self.key = key
+        self.value = value
+        self.forward: list[_Node | None] = [None] * height
+
+
+class SkipList:
+    """Sorted map from comparable keys to values."""
+
+    def __init__(self, seed: int = 0) -> None:
+        self._head = _Node(None, None, _MAX_HEIGHT)
+        self._height = 1
+        self._size = 0
+        self._rng = random.Random(seed)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _random_height(self) -> int:
+        height = 1
+        while height < _MAX_HEIGHT and self._rng.randrange(_BRANCHING) == 0:
+            height += 1
+        return height
+
+    def _find_predecessors(self, key: Any) -> list[_Node]:
+        """Per level, the last node with a key strictly less than ``key``."""
+        preds = [self._head] * _MAX_HEIGHT
+        node = self._head
+        for level in range(self._height - 1, -1, -1):
+            nxt = node.forward[level]
+            while nxt is not None and nxt.key < key:
+                node = nxt
+                nxt = node.forward[level]
+            preds[level] = node
+        return preds
+
+    def insert(self, key: Any, value: Any) -> None:
+        """Insert or overwrite ``key``."""
+        preds = self._find_predecessors(key)
+        candidate = preds[0].forward[0]
+        if candidate is not None and candidate.key == key:
+            candidate.value = value
+            return
+        height = self._random_height()
+        if height > self._height:
+            self._height = height
+        node = _Node(key, value, height)
+        for level in range(height):
+            node.forward[level] = preds[level].forward[level]
+            preds[level].forward[level] = node
+        self._size += 1
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        node = self._find_predecessors(key)[0].forward[0]
+        if node is not None and node.key == key:
+            return node.value
+        return default
+
+    def __contains__(self, key: Any) -> bool:
+        sentinel = object()
+        return self.get(key, sentinel) is not sentinel
+
+    def seek_ceiling(self, key: Any) -> Iterator[tuple[Any, Any]]:
+        """Iterate (key, value) pairs starting at the first key >= ``key``."""
+        node = self._find_predecessors(key)[0].forward[0]
+        while node is not None:
+            yield node.key, node.value
+            node = node.forward[0]
+
+    def items(self) -> Iterator[tuple[Any, Any]]:
+        """Iterate all (key, value) pairs in ascending key order."""
+        node = self._head.forward[0]
+        while node is not None:
+            yield node.key, node.value
+            node = node.forward[0]
+
+    def first_key(self) -> Any:
+        node = self._head.forward[0]
+        return None if node is None else node.key
+
+    def last_key(self) -> Any:
+        node = self._head
+        for level in range(self._height - 1, -1, -1):
+            while node.forward[level] is not None:
+                node = node.forward[level]
+        return None if node is self._head else node.key
 
 
 class TestSkipList:
@@ -87,3 +195,31 @@ class TestSkipList:
             sl.insert(key, key)
         expected = sorted(k for k in set(inserted) if k >= probe)
         assert [k for k, _ in sl.seek_ceiling(probe)] == expected
+
+
+class TestMemtableAgainstSkipList:
+    @given(
+        st.lists(
+            st.tuples(st.binary(min_size=1, max_size=6), st.booleans(), st.binary(max_size=8)),
+            max_size=150,
+        ),
+        st.binary(min_size=1, max_size=6),
+    )
+    def test_memtable_matches_model(self, writes, probe):
+        memtable = Memtable()
+        model = SkipList(seed=3)
+        for seqno, (key, tombstone, value) in enumerate(writes, start=1):
+            if tombstone:
+                record = Record(key, seqno, ValueKind.DELETE)
+            else:
+                record = Record(key, seqno, ValueKind.PUT, value)
+            memtable.add(record)
+            model.insert(key, record)
+        assert len(memtable) == len(model)
+        assert list(memtable.records()) == [record for _, record in model.items()]
+        assert list(memtable.scan_from(probe)) == [r for _, r in model.seek_ceiling(probe)]
+        assert memtable.smallest_key() == model.first_key()
+        assert memtable.largest_key() == model.last_key()
+        for key, record in model.items():
+            assert memtable.get(key) is record
+        assert memtable.get(probe) is model.get(probe)

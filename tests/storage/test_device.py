@@ -98,6 +98,19 @@ class TestDevice:
         clock.advance(60_000_000.0)  # a minute of simulated time
         assert dev.backlog_bytes == 0.0
 
+    def test_reading_backlog_does_not_perturb_penalties(self):
+        observed, clock = self._device(QLC_SPEC)
+        untouched, twin_clock = self._device(QLC_SPEC)
+        for dev in (observed, untouched):
+            dev.write(1 * MIB, foreground=False)
+        # Steps chosen so that draining in three parts rounds differently
+        # from draining at once, below the penalty cap.
+        for step in (75.8, 425.2, 384.2):
+            assert observed.backlog_bytes > 0
+            clock.advance(step)
+            twin_clock.advance(step)
+        assert observed.queue_penalty_usec() == untouched.queue_penalty_usec() < 5_000.0
+
     def test_penalty_is_capped(self):
         dev, _ = self._device(QLC_SPEC)
         dev.write(10 * GIB, foreground=False)
